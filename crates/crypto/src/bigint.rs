@@ -1,11 +1,17 @@
 //! Arbitrary-precision unsigned integers.
 //!
 //! A little-endian `Vec<u64>` limb representation with the operations
-//! Paillier needs: schoolbook multiplication, Knuth-style long division,
-//! binary extended GCD (modular inverses), square-and-multiply modular
-//! exponentiation and Miller–Rabin primality testing. Deliberately
-//! simple and allocation-friendly — the workloads use 512–1024-bit
-//! moduli where schoolbook arithmetic is more than fast enough.
+//! Paillier needs: schoolbook multiplication, word-level long division
+//! (Knuth's Algorithm D), binary extended GCD (modular inverses),
+//! modular exponentiation and Miller–Rabin primality testing.
+//!
+//! Modular exponentiation runs in Montgomery form when the modulus is
+//! odd, which every Paillier modulus is (`n²` and the prime candidates):
+//! each step is a CIOS Montgomery product that reduces with one
+//! multiply-add pass per limb instead of a division. Even moduli fall
+//! back to square-and-multiply over [`BigUint::mul_mod`]. Schoolbook
+//! arithmetic is deliberate — the workloads use 512–1024-bit moduli,
+//! below the sizes where Karatsuba pays off.
 
 use crate::{CryptoError, Result};
 use rand::Rng;
@@ -229,7 +235,16 @@ impl BigUint {
             .is_some_and(|l| (l >> (i % 64)) & 1 == 1)
     }
 
-    /// `(self / divisor, self % divisor)` via binary long division.
+    /// `(self / divisor, self % divisor)` via word-level long division.
+    ///
+    /// A one-limb divisor takes a single pass of 128-by-64-bit divisions.
+    /// Longer divisors use Knuth's Algorithm D (TAOCP vol. 2, §4.3.1):
+    /// both operands are shifted so the divisor's top bit is set, each
+    /// quotient limb is estimated from the top two limbs of the running
+    /// remainder (the estimate is then at most one too large after the
+    /// second-limb correction), the estimate times the divisor is
+    /// subtracted, and the divisor is added back in the rare case the
+    /// subtraction went negative.
     ///
     /// # Errors
     /// [`CryptoError::DivisionByZero`].
@@ -254,20 +269,8 @@ impl BigUint {
             }
             return Ok((Self::from_limbs(q), Self::from_u64(rem as u64)));
         }
-        // General case: shift-and-subtract, one bit at a time, but with
-        // limb-level remainders (adequate for ≤2048-bit operands).
-        let shift = self.bits() - divisor.bits();
-        let mut remainder = self.clone();
-        let mut quotient = Self::zero();
-        let mut shifted = divisor.shl(shift);
-        for s in (0..=shift).rev() {
-            if let Some(d) = remainder.checked_sub(&shifted) {
-                remainder = d;
-                quotient = quotient.add(&Self::one().shl(s));
-            }
-            shifted = shifted.shr(1);
-        }
-        Ok((quotient, remainder))
+        let (q, r) = knuth_div(&self.limbs, &divisor.limbs);
+        Ok((Self::from_limbs(q), Self::from_limbs(r)))
     }
 
     /// `self mod modulus`.
@@ -286,7 +289,8 @@ impl BigUint {
         self.mul(other).rem(modulus)
     }
 
-    /// `self^exponent mod modulus` (square-and-multiply).
+    /// `self^exponent mod modulus` (square-and-multiply; in Montgomery
+    /// form when the modulus is odd, see the module docs).
     ///
     /// # Errors
     /// [`CryptoError::DivisionByZero`] for a zero modulus.
@@ -297,6 +301,17 @@ impl BigUint {
         if modulus.is_one() {
             return Ok(Self::zero());
         }
+        if modulus.is_even() {
+            self.pow_by_division(exponent, modulus)
+        } else {
+            mont_pow(self, exponent, modulus)
+        }
+    }
+
+    /// `self^exponent mod modulus` for `modulus > 1` by right-to-left
+    /// square-and-multiply over [`Self::mul_mod`]: the path for even
+    /// moduli, which have no Montgomery form.
+    fn pow_by_division(&self, exponent: &Self, modulus: &Self) -> Result<Self> {
         let mut base = self.rem(modulus)?;
         let mut result = Self::one();
         let nbits = exponent.bits();
@@ -540,6 +555,167 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
     }
 }
 
+/// Bits 64..128 of `(hi:lo) << s`, i.e. limb `hi` shifted left by
+/// `s < 64` with the bits carried in from `lo`.
+fn shl_limb(hi: u64, lo: u64, s: u32) -> u64 {
+    (((u128::from(hi) << 64) | u128::from(lo)) << s >> 64) as u64
+}
+
+/// Knuth's Algorithm D: `(u / v, u % v)` as limb vectors, for a divisor
+/// of at least two limbs with a non-zero top limb and `u ≥ v`.
+fn knuth_div(u: &[u64], v: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    const B: u128 = 1 << 64;
+    let n = v.len();
+    let m = u.len() - n;
+    // D1: normalize. Shifting by the divisor's leading zeros sets its top
+    // bit, which bounds the quotient-limb estimate's error; the dividend
+    // gains one limb to hold the bits shifted out of its top.
+    let s = v[n - 1].leading_zeros();
+    let vn: Vec<u64> = (0..n)
+        .map(|i| shl_limb(v[i], if i == 0 { 0 } else { v[i - 1] }, s))
+        .collect();
+    let mut un: Vec<u64> = (0..=u.len())
+        .map(|i| {
+            let hi = u.get(i).copied().unwrap_or(0);
+            shl_limb(hi, if i == 0 { 0 } else { u[i - 1] }, s)
+        })
+        .collect();
+    let (v1, v2) = (u128::from(vn[n - 1]), u128::from(vn[n - 2]));
+    let mut q = vec![0u64; m + 1];
+    for j in (0..=m).rev() {
+        // D3: estimate q̂ = ⌊(un[j+n]·B + un[j+n-1]) / v1⌋ and correct it
+        // with the second divisor limb; q̂ is then exact or one too large.
+        let top = (u128::from(un[j + n]) << 64) | u128::from(un[j + n - 1]);
+        let mut qhat = top / v1;
+        let mut rhat = top % v1;
+        while qhat >= B || qhat * v2 > ((rhat << 64) | u128::from(un[j + n - 2])) {
+            qhat -= 1;
+            rhat += v1;
+            if rhat >= B {
+                break;
+            }
+        }
+        // D4: un[j..=j+n] -= q̂ · vn.
+        let mut carry = 0u128;
+        let mut borrow = false;
+        for (w, &d) in un[j..j + n].iter_mut().zip(&vn) {
+            let p = qhat * u128::from(d) + carry;
+            carry = p >> 64;
+            let (d1, b1) = w.overflowing_sub(p as u64);
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            *w = d2;
+            borrow = b1 || b2;
+        }
+        let (d1, b1) = un[j + n].overflowing_sub(carry as u64);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        un[j + n] = d2;
+        // `qhat < B` after the correction loop.
+        q[j] = qhat as u64;
+        if b1 || b2 {
+            // D6: q̂ was one too large; add one divisor back.
+            q[j] -= 1;
+            let mut c = false;
+            for (w, &d) in un[j..j + n].iter_mut().zip(&vn) {
+                let (s1, c1) = w.overflowing_add(d);
+                let (s2, c2) = s1.overflowing_add(u64::from(c));
+                *w = s2;
+                c = c1 || c2;
+            }
+            un[j + n] = un[j + n].wrapping_add(u64::from(c));
+        }
+    }
+    // D8: the remainder is un[..n] shifted back down.
+    let r = (0..n)
+        .map(|i| (((u128::from(un[i + 1]) << 64) | u128::from(un[i])) >> s) as u64)
+        .collect();
+    (q, r)
+}
+
+/// `-m0⁻¹ mod 2⁶⁴` for odd `m0`. An odd `m0` is its own inverse mod 8
+/// (3 correct bits); each Newton step `x ← x·(2 − m0·x)` doubles that.
+fn neg_inv_u64(m0: u64) -> u64 {
+    let mut inv = m0;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+    }
+    inv.wrapping_neg()
+}
+
+/// Montgomery product `out = a·b·R⁻¹ mod m` with `R = 2^(64·n)`,
+/// `n = m.len()`, by coarsely integrated operand scanning (CIOS): per
+/// limb of `a`, add `aᵢ·b` into the accumulator, then add the multiple
+/// of `m` that zeroes its low limb and drop that limb. `a`, `b` and `out`
+/// have `n` limbs with `a, b < m`; `m_inv = -m⁻¹ mod 2⁶⁴`; `t` is `n + 2`
+/// limbs of scratch.
+fn mont_mul_into(out: &mut [u64], a: &[u64], b: &[u64], m: &[u64], m_inv: u64, t: &mut [u64]) {
+    let n = m.len();
+    // Fixing every length up front lets the compiler drop bounds checks.
+    let (a, b, out, t) = (&a[..n], &b[..n], &mut out[..n], &mut t[..n + 2]);
+    t.fill(0);
+    for &ai in a {
+        let mut c = 0u128;
+        for (tj, &bj) in t[..n].iter_mut().zip(b) {
+            let s = u128::from(*tj) + u128::from(ai) * u128::from(bj) + c;
+            *tj = s as u64;
+            c = s >> 64;
+        }
+        let s = u128::from(t[n]) + c;
+        t[n] = s as u64;
+        t[n + 1] = (s >> 64) as u64;
+        let k = t[0].wrapping_mul(m_inv);
+        let mut c = (u128::from(t[0]) + u128::from(k) * u128::from(m[0])) >> 64;
+        for j in 1..n {
+            let s = u128::from(t[j]) + u128::from(k) * u128::from(m[j]) + c;
+            t[j - 1] = s as u64;
+            c = s >> 64;
+        }
+        let s = u128::from(t[n]) + c;
+        t[n - 1] = s as u64;
+        t[n] = t[n + 1] + (s >> 64) as u64;
+    }
+    // The accumulator is below 2m: subtract m once unless it is below m.
+    let mut borrow = false;
+    for ((o, &tj), &mj) in out.iter_mut().zip(&t[..n]).zip(m) {
+        let (d1, b1) = tj.overflowing_sub(mj);
+        let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+        *o = d2;
+        borrow = b1 || b2;
+    }
+    if borrow && t[n] == 0 {
+        out.copy_from_slice(&t[..n]);
+    }
+}
+
+/// `base^exponent mod m` for an odd `m > 1`: left-to-right
+/// square-and-multiply over Montgomery products. All buffers are
+/// allocated before the exponent loop, which is allocation-free.
+fn mont_pow(base: &BigUint, exponent: &BigUint, m: &BigUint) -> Result<BigUint> {
+    let Some(top) = exponent.bits().checked_sub(1) else {
+        return Ok(BigUint::one());
+    };
+    let n = m.limbs.len();
+    let m_inv = neg_inv_u64(m.limbs[0]);
+    // Into Montgomery form: base·R mod m.
+    let mut b = base.shl(64 * n).rem(m)?.limbs;
+    b.resize(n, 0);
+    let mut acc = b.clone();
+    let mut tmp = vec![0u64; n];
+    let mut t = vec![0u64; n + 2];
+    for i in (0..top).rev() {
+        mont_mul_into(&mut tmp, &acc, &acc, &m.limbs, m_inv, &mut t);
+        std::mem::swap(&mut acc, &mut tmp);
+        if exponent.bit(i) {
+            mont_mul_into(&mut tmp, &acc, &b, &m.limbs, m_inv, &mut t);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+    }
+    // Out of Montgomery form: a product with 1 strips the factor R.
+    b.fill(0);
+    b[0] = 1;
+    mont_mul_into(&mut tmp, &acc, &b, &m.limbs, m_inv, &mut t);
+    Ok(BigUint::from_limbs(tmp))
+}
+
 impl fmt::Debug for BigUint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_zero() {
@@ -573,10 +749,58 @@ impl Ord for BigUint {
 mod tests {
     use super::*;
     use proptest::prelude::{prop_assert, prop_assert_eq, proptest};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn big(v: u128) -> BigUint {
         BigUint::from_u128(v)
+    }
+
+    /// The bit-serial shift-and-subtract division that preceded
+    /// Algorithm D, kept as the reference `div_rem` is checked against.
+    fn div_rem_bitwise(a: &BigUint, d: &BigUint) -> (BigUint, BigUint) {
+        let mut quotient = BigUint::zero();
+        let mut remainder = a.clone();
+        let Some(shift) = a.bits().checked_sub(d.bits()) else {
+            return (quotient, remainder);
+        };
+        let mut shifted = d.shl(shift);
+        for s in (0..=shift).rev() {
+            if let Some(r) = remainder.checked_sub(&shifted) {
+                remainder = r;
+                quotient = quotient.add(&BigUint::one().shl(s));
+            }
+            shifted = shifted.shr(1);
+        }
+        (quotient, remainder)
+    }
+
+    /// A `len`-limb value (top limb non-zero) mixing random limbs with
+    /// the extremes that stress quotient estimation and carries: 0, 1,
+    /// 2⁶³ and all-ones.
+    fn mixed_limbs(rng: &mut StdRng, len: usize) -> BigUint {
+        let mut limbs: Vec<u64> = (0..len)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => 0,
+                1 => 1,
+                2 => 1 << 63,
+                3 => u64::MAX,
+                _ => rng.gen(),
+            })
+            .collect();
+        if limbs[len - 1] == 0 {
+            limbs[len - 1] = rng.gen::<u64>() | 1;
+        }
+        BigUint::from_limbs(limbs)
+    }
+
+    /// A random value of at most `bits` bits (zero for `bits == 0`).
+    fn random_upto(rng: &mut StdRng, bits: usize) -> BigUint {
+        if bits == 0 {
+            BigUint::zero()
+        } else {
+            BigUint::random_bits(bits, rng)
+        }
     }
 
     #[test]
@@ -654,6 +878,48 @@ mod tests {
     }
 
     #[test]
+    fn division_add_back_vector() {
+        // Normalized (shift 2), the first quotient-limb estimate is 4, the
+        // true limb is 3, and the second-limb test cannot catch it (the
+        // divisor's middle limb is 0): Algorithm D must add back.
+        let a = BigUint::from_limbs(vec![3, 0, 1 << 63]);
+        let d = BigUint::from_limbs(vec![1, 0, 1 << 61]);
+        let (q, r) = a.div_rem(&d).unwrap();
+        assert_eq!(q.to_u64(), Some(3));
+        assert_eq!(r, BigUint::from_limbs(vec![0, 0, 1 << 61]));
+        assert_eq!((q, r), div_rem_bitwise(&a, &d));
+    }
+
+    #[test]
+    fn mod_pow_edge_cases() {
+        let m = BigUint::from_limbs(vec![u64::MAX - 14, 7, 1 << 40]);
+        let b = big(0xdead_beef_0123_4567_89ab);
+        let e = big(0x1_2345_6789_abcd_ef01);
+        let expected = b.pow_by_division(&e, &m).unwrap();
+        assert_eq!(b.mod_pow(&e, &m).unwrap(), expected);
+        // Exponent 0 and base 0.
+        assert!(b.mod_pow(&BigUint::zero(), &m).unwrap().is_one());
+        assert!(BigUint::zero().mod_pow(&e, &m).unwrap().is_zero());
+        // A base at or above the modulus is reduced first.
+        assert!(m.mod_pow(&e, &m).unwrap().is_zero());
+        let above = m.mul(&big(3)).add(&b);
+        assert_eq!(above.mod_pow(&e, &m).unwrap(), expected);
+        // One-limb odd modulus.
+        let p = big(1_000_000_007);
+        assert_eq!(
+            b.mod_pow(&e, &p).unwrap(),
+            b.pow_by_division(&e, &p).unwrap()
+        );
+        // (Modulus 1 is covered by `mod_pow_known_values`.)
+        // An even modulus has no Montgomery inverse: `mod_pow` must take
+        // the division path, where the Montgomery routine goes wrong.
+        let even = m.add(&BigUint::one());
+        let expected = b.pow_by_division(&e, &even).unwrap();
+        assert_eq!(b.mod_pow(&e, &even).unwrap(), expected);
+        assert_ne!(mont_pow(&b, &e, &even).unwrap(), expected);
+    }
+
+    #[test]
     fn mod_pow_known_values() {
         // 3^7 mod 10 = 7 (2187 mod 10)
         assert_eq!(big(3).mod_pow(&big(7), &big(10)).unwrap().to_u64(), Some(7));
@@ -727,6 +993,39 @@ mod tests {
             let (q, r) = big(a).div_rem(&big(b)).unwrap();
             prop_assert_eq!(q.mul(&big(b)).add(&r), big(a));
             prop_assert!(r < big(b));
+        }
+
+        #[test]
+        fn prop_div_rem_matches_bitwise(seed in 0u64..u64::MAX, x in 2usize..41, y in 2usize..41) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = mixed_limbs(&mut rng, x.max(y));
+            let d = mixed_limbs(&mut rng, x.min(y));
+            let (q, r) = a.div_rem(&d).unwrap();
+            prop_assert_eq!(q.mul(&d).add(&r), a.clone());
+            prop_assert!(r < d);
+            prop_assert_eq!((q, r), div_rem_bitwise(&a, &d));
+        }
+
+        #[test]
+        fn prop_mod_pow_montgomery_matches_division(
+            seed in 0u64..u64::MAX,
+            m_len in 1usize..21,
+            base_bits in 0usize..1301,
+            exp_bits in 0usize..301,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = mixed_limbs(&mut rng, m_len);
+            if m.is_even() {
+                m = m.add(&BigUint::one());
+            }
+            let base = random_upto(&mut rng, base_bits);
+            let exponent = random_upto(&mut rng, exp_bits);
+            let got = base.mod_pow(&exponent, &m).unwrap();
+            if m.is_one() {
+                prop_assert!(got.is_zero());
+            } else {
+                prop_assert_eq!(got, base.pow_by_division(&exponent, &m).unwrap());
+            }
         }
 
         #[test]

@@ -408,6 +408,47 @@ mod tests {
         assert!(KeyPair::generate(8, &mut rng).is_err());
     }
 
+    /// FNV-1a over a value's `Debug` rendering.
+    fn fingerprint(v: &impl std::fmt::Debug) -> u64 {
+        format!("{v:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+    }
+
+    #[test]
+    fn seeded_keys_and_ciphertexts_are_pinned() {
+        // Values recorded with the bit-serial division and plain
+        // square-and-multiply that preceded Algorithm D and Montgomery
+        // exponentiation: a faster `BigUint` must draw the same
+        // randomness and produce the same key, ciphertexts and plaintext.
+        // Seed and size are those of the pipeline benchmark's Paillier VFL.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x9A11);
+        let kp = KeyPair::generate(512, &mut rng).unwrap();
+        let n = kp.public.modulus();
+        assert_eq!(
+            format!("{n:?}"),
+            concat!(
+                "BigUint(0x939758416e61c8758c2291a07a3b50409f33be5cbfa90e74b87bfac8a80348c6",
+                "a86890400c5ca2d413fa7b34f82d7f348b288b0070c8275aa2d4f2d0ee6d9d01)"
+            )
+        );
+        let c1 = kp
+            .public
+            .encrypt_int(&BigUint::from_u64(123_456_789), &mut rng)
+            .unwrap();
+        assert_eq!(fingerprint(&c1), 0x9dfe_dbc3_9f77_58b3);
+        let c2 = kp.public.encrypt_f64(-2.5, &mut rng).unwrap();
+        let tripled = kp.public.mul_plain(&c2, &BigUint::from_u64(3)).unwrap();
+        let sum = kp.public.add(&c1, &tripled).unwrap();
+        assert_eq!(fingerprint(&sum), 0x3a6e_61a3_9b6a_3e98);
+        // 123456789 + 3·(−2.5·2²⁴) = −2372331, i.e. n − 2372331 in Z_n.
+        let expected = n.checked_sub(&BigUint::from_u64(2_372_331)).unwrap();
+        assert_eq!(kp.private.decrypt_int(&sum).unwrap(), expected);
+        assert_eq!(fingerprint(&expected), 0x11c4_0ea0_fb7a_999b);
+    }
+
     #[test]
     fn larger_key_roundtrip() {
         // 512-bit keys (the benchmark default) still round-trip.
