@@ -19,6 +19,8 @@ pub enum IntegrationError {
     /// An input table has no rows; integration scenarios are only
     /// defined over non-empty sources.
     EmptyTable(String),
+    /// A table has more rows than entity resolution can index.
+    TooManyRows(String),
     /// Error bubbled up from the relational substrate.
     Relational(String),
     /// Error bubbled up from the matrix substrate.
@@ -33,6 +35,7 @@ impl fmt::Display for IntegrationError {
             IntegrationError::InvalidMetadata(m) => write!(f, "invalid metadata: {m}"),
             IntegrationError::NoMatches(m) => write!(f, "no matches: {m}"),
             IntegrationError::EmptyTable(t) => write!(f, "empty table: {t} has no rows"),
+            IntegrationError::TooManyRows(m) => write!(f, "too many rows: {m}"),
             IntegrationError::Relational(m) => write!(f, "relational error: {m}"),
             IntegrationError::Matrix(m) => write!(f, "matrix error: {m}"),
         }

@@ -6,7 +6,8 @@
 //! come back as typed [`IntegrationError`]s.
 
 use amalur_integration::{
-    integrate_pair, integrate_union, IntegrationError, IntegrationOptions, ScenarioKind,
+    integrate_pair, integrate_union, match_rows, ErConfig, IntegrationError, IntegrationOptions,
+    ScenarioKind,
 };
 use amalur_relational::{DataType, Table, TableBuilder, Value};
 
@@ -171,5 +172,114 @@ fn errors_render_human_readable_messages() {
     assert_eq!(
         IntegrationError::EmptyTable("S1".to_owned()).to_string(),
         "empty table: S1 has no rows"
+    );
+}
+
+/// One-column table of string keys.
+fn keyed(name: &str, keys: &[&str]) -> Table {
+    let mut b = TableBuilder::new(name, &[("n", DataType::Utf8)]).unwrap();
+    for &k in keys {
+        b = b.row(vec![k.into()]).unwrap();
+    }
+    b.build()
+}
+
+/// `match_rows` output as `(left, right, score)` triples.
+fn resolve(left: &[&str], right: &[&str], config: &ErConfig) -> Vec<(usize, usize, f64)> {
+    match_rows(&keyed("L", left), &keyed("R", right), "n", "n", config)
+        .unwrap()
+        .into_iter()
+        .map(|m| (m.left, m.right, m.score))
+        .collect()
+}
+
+#[test]
+fn er_one_left_key_exactly_equal_to_three_right_keys() {
+    // The exact phase emits all three (0, j) candidates at 1.0; greedy
+    // resolution keeps the lowest right row, and rows matched exactly
+    // never enter the fuzzy phase, so "Janet" can only reach "Janey".
+    let out = resolve(
+        &["Jane", "Janet"],
+        &["Jane", "Jane", "Jane", "Janey"],
+        &ErConfig::default(),
+    );
+    assert_eq!(out, vec![(0, 0, 1.0), (1, 3, 0.92)]);
+}
+
+#[test]
+fn er_non_ascii_keys() {
+    // Multi-byte first characters block on themselves (`to_ascii_lowercase`
+    // leaves them alone), so "Åsa" and "åsa" never meet; scores count
+    // chars, not bytes.
+    let out = resolve(
+        &["Zoë Ångström", "Müller", "Åsa", "Ça va", "naïve café"],
+        &[
+            "åsa",
+            "Zoe Angstrom",
+            "Mueller",
+            "Ça  va",
+            "naive cafe",
+            "Müler",
+            "Zoë Ångstrom",
+        ],
+        &ErConfig::default(),
+    );
+    assert_eq!(
+        out,
+        vec![
+            (0, 6, 0.9666666666666666),
+            (1, 5, 0.9611111111111111),
+            (3, 3, 0.9611111111111111),
+            (4, 4, 0.8933333333333333),
+        ]
+    );
+}
+
+#[test]
+fn er_keys_longer_than_64_chars() {
+    // Both sides of the 64-char limit, in both directions: 64 vs 65 and
+    // 65 vs 64 chars, plus two 80-char keys with a transposition.
+    let base = "patient-record-".repeat(5);
+    let l0 = format!("{base}alpha");
+    let l1 = format!("{}x", "q".repeat(63)); // 64 chars
+    let l2 = format!("{}xy", "q".repeat(63)); // 65 chars
+    let r0 = format!("{base}aplha");
+    let r1 = format!("{}yx", "q".repeat(63)); // 65 chars
+    let r2 = format!("{}y", "q".repeat(63)); // 64 chars
+    let out = resolve(&[&l0, &l1, &l2], &[&r1, &r0, &r2], &ErConfig::default());
+    assert_eq!(
+        out,
+        vec![
+            (0, 1, 0.9974999999999999),
+            (1, 0, 0.9969230769230769),
+            (2, 2, 0.9969230769230769),
+        ]
+    );
+}
+
+#[test]
+fn er_zero_threshold_keeps_every_in_block_pair_and_breaks_ties_by_row() {
+    // "Axx", "Ayy" and "Azz" tie at 0.6 against each of "Abb", "Acc" and
+    // "Add", so greedy resolution breaks the ties by row. "Azz" ends up
+    // with "axy" (same block, no shared character, score 0.0), which
+    // still passes a 0.0 threshold.
+    let cfg = ErConfig {
+        threshold: 0.0,
+        ..ErConfig::default()
+    };
+    let out = resolve(
+        &["Axx", "Ayy", "Azz", "Abc", "Bq"],
+        &["Abb", "Acc", "Add", "axy", "Bq"],
+        &cfg,
+    );
+    assert_eq!(
+        out,
+        vec![
+            (0, 1, 0.5999999999999999),
+            (1, 2, 0.5999999999999999),
+            (2, 3, 0.0),
+            (3, 0, 0.8222222222222222),
+            (4, 4, 1.0),
+        ]
     );
 }
